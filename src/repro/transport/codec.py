@@ -19,6 +19,9 @@ plus the protocol-local messages under :mod:`repro.protocols`.  The
 WIRE-codec rule of :mod:`repro.analysis` statically fails the build when
 a message lands without frozen/``__slots__``/codec entry, and the codec
 round-trip tests require a worst-case sample per registered type.
+Each registered type's field table is built once, at import, from its
+type hints; the transform dispatches on the exact type, so a subclass
+of a registered type has no codec entry.
 
 Two byte codecs wrap the transform: JSON (always available) and msgpack
 (the optional ``repro[transport]`` extra).  Frames on the wire are
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional, Protocol, Tuple, Type
+import typing
+from typing import Any, Dict, FrozenSet, List, Optional, Protocol, Tuple, Type
 
 from repro.core import messages as _messages
 from repro.core.options import (
@@ -133,64 +137,144 @@ _REGISTRY: Dict[str, Type[Any]] = {
     cls.__name__: cls for cls in (*MESSAGE_TYPES, *VALUE_TYPES)
 }
 
-_TAG_KEYS = frozenset({"__k", "__t", "__e", "__c", "f"})
+#: types that pass through the transform unchanged.
+_PLAIN_TYPES: Tuple[type, ...] = (type(None), bool, int, float, str)
+_PLAIN = frozenset(_PLAIN_TYPES)
+
+
+def _is_plain(hint: Any) -> bool:
+    """A field annotated with a plain type (or ``Optional`` of one) holds
+    a value the transform would pass through, so the table skips it."""
+    if hint in _PLAIN:
+        return True
+    if typing.get_origin(hint) is typing.Union:
+        return all(arg in _PLAIN for arg in typing.get_args(hint))
+    return False
+
+
+def _fields(cls: Type[Any]) -> Tuple[Tuple[str, bool], ...]:
+    """``(init field name, plain-typed)`` pairs in declaration order;
+    non-init fields are derived caches, not payload."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (field.name, _is_plain(hints[field.name]))
+        for field in dataclasses.fields(cls)
+        if field.init
+    )
+
+
+#: exact type -> (wire name, fields): built once, so encoding never
+#: inspects a dataclass at run time.
+_ENCODE_TABLE: Dict[type, Tuple[str, Tuple[Tuple[str, bool], ...]]] = {
+    cls: (name, _fields(cls)) for name, cls in _REGISTRY.items()
+}
+#: wire name -> (class, names of plain-typed fields).
+_DECODE_TABLE: Dict[str, Tuple[Type[Any], FrozenSet[str]]] = {
+    name: (cls, frozenset(field for field, plain in fields if plain))
+    for cls, (name, fields) in _ENCODE_TABLE.items()
+}
 
 
 def encode(obj: Any) -> Any:
     """Transform ``obj`` into JSON/msgpack-compatible values."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    # Nested values recurse through _encode, so a wrapper installed on
+    # this module attribute sees one call per message.
+    return _encode(obj)
+
+
+def _encode(obj: Any) -> Any:
+    kind = type(obj)
+    if kind in _PLAIN:
         return obj
-    if isinstance(obj, OptionStatus):
+    entry = _ENCODE_TABLE.get(kind)
+    if entry is not None:
+        name, fields = entry
+        out: Dict[str, Any] = {}
+        for field, plain in fields:
+            value = getattr(obj, field)
+            out[field] = value if plain else _encode(value)
+        return {"__k": name, "f": out}
+    if kind is tuple:
+        return {"__t": _encode_items(obj)}
+    if kind is OptionStatus:
         return {"__e": obj.value}
+    if kind is dict:
+        return _encode_dict(obj)
+    if kind is list:
+        return _encode_items(obj)
+    if kind is CStruct:
+        return {"__c": _encode_items(obj.commands)}
+    return _encode_subclass(obj)
+
+
+def _encode_items(items: Any) -> List[Any]:
+    return [item if type(item) in _PLAIN else _encode(item) for item in items]
+
+
+def _encode_dict(obj: Dict[Any, Any]) -> Dict[str, Any]:
+    out: Dict[str, Any] = {}
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            raise CodecError(f"non-string dict key {key!r} is not encodable")
+        out[key] = _encode(value)
+    return out
+
+
+def _encode_subclass(obj: Any) -> Any:
+    """Subclasses of the builtin shapes encode as their base; anything
+    else, a subclass of a registered type included, has no codec entry."""
+    if isinstance(obj, _PLAIN_TYPES):
+        return obj
     if isinstance(obj, CStruct):
-        return {"__c": [encode(command) for command in obj.commands]}
+        return {"__c": _encode_items(obj.commands)}
     if isinstance(obj, tuple):
-        return {"__t": [encode(item) for item in obj]}
+        return {"__t": _encode_items(obj)}
     if isinstance(obj, list):
-        return [encode(item) for item in obj]
+        return _encode_items(obj)
     if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise CodecError(f"non-string dict key {key!r} is not encodable")
-            out[key] = encode(value)
-        return out
-    name = type(obj).__name__
-    cls = _REGISTRY.get(name)
-    if cls is None or type(obj) is not cls:
-        raise CodecError(
-            f"{type(obj).__module__}.{name} has no codec entry; add it to "
-            "repro.transport.codec.MESSAGE_TYPES or VALUE_TYPES"
-        )
-    fields = {
-        field.name: encode(getattr(obj, field.name))
-        for field in dataclasses.fields(obj)
-        if field.init  # non-init fields are derived caches, not payload
-    }
-    return {"__k": name, "f": fields}
+        return _encode_dict(obj)
+    raise CodecError(
+        f"{type(obj).__module__}.{type(obj).__name__} has no codec entry; add "
+        "it to repro.transport.codec.MESSAGE_TYPES or VALUE_TYPES"
+    )
 
 
 def decode(data: Any) -> Any:
     """Inverse of :func:`encode`."""
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if isinstance(data, list):
-        return [decode(item) for item in data]
-    if isinstance(data, dict):
+    return _decode(data)
+
+
+def _decode(data: Any) -> Any:
+    kind = type(data)
+    if kind is dict:
+        if "__k" in data:
+            entry = _DECODE_TABLE.get(data["__k"])
+            if entry is None:
+                raise CodecError(f"unknown wire type {data['__k']!r}")
+            cls, plain = entry
+            fields: Dict[str, Any] = {}
+            for key, value in data["f"].items():
+                fields[key] = value if key in plain else _decode(value)
+            try:
+                return cls(**fields)
+            except TypeError as exc:
+                raise CodecError(f"malformed {data['__k']}: {exc}") from exc
+        if "__t" in data:
+            return tuple(_decode_items(data["__t"]))
         if "__e" in data:
             return OptionStatus(data["__e"])
         if "__c" in data:
-            return CStruct(tuple(decode(item) for item in data["__c"]))
-        if "__t" in data:
-            return tuple(decode(item) for item in data["__t"])
-        if "__k" in data:
-            cls = _REGISTRY.get(data["__k"])
-            if cls is None:
-                raise CodecError(f"unknown wire type {data['__k']!r}")
-            fields = {key: decode(value) for key, value in data["f"].items()}
-            return cls(**fields)
-        return {key: decode(value) for key, value in data.items()}
-    raise CodecError(f"cannot decode {type(data).__name__}: {data!r}")
+            return CStruct(_decode_items(data["__c"]))
+        return {key: _decode(value) for key, value in data.items()}
+    if kind is list:
+        return _decode_items(data)
+    if kind in _PLAIN or isinstance(data, _PLAIN_TYPES):
+        return data
+    raise CodecError(f"cannot decode {kind.__name__}: {data!r}")
+
+
+def _decode_items(items: Any) -> List[Any]:
+    return [item if type(item) in _PLAIN else _decode(item) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -207,17 +291,23 @@ class ByteCodec(Protocol):
     def loads(self, payload: bytes) -> Any: ...
 
 
+#: one of each, reused: ``json.dumps`` with non-default separators
+#: would build a fresh encoder per call.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_JSON_DECODER = json.JSONDecoder()
+
+
 class JsonCodec:
     name = "json"
     tag = b"J"
 
     @staticmethod
     def dumps(obj: Any) -> bytes:
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        return _JSON_ENCODER.encode(obj).encode("utf-8")
 
     @staticmethod
     def loads(payload: bytes) -> Any:
-        return json.loads(payload.decode("utf-8"))
+        return _JSON_DECODER.decode(payload.decode("utf-8"))
 
 
 class MsgpackCodec:
@@ -285,4 +375,7 @@ def decode_frame_payload(payload: bytes) -> Dict[str, Any]:
                 ) from None
         else:
             raise CodecError(f"unknown codec tag {tag!r}")
-    return codec.loads(payload[1:])
+    try:
+        return codec.loads(payload[1:])
+    except ValueError as exc:  # JSON, UTF-8 and msgpack errors alike
+        raise CodecError(f"undecodable {codec.name} payload: {exc}") from exc

@@ -19,6 +19,12 @@ schedules drive real processes the same way they drive the simulator.
 Control frames addressed to ``@ctrl`` administer a remote transport:
 ``shutdown``, ``set_link``, ``heal``, ``ping``.
 
+Each connection, dialed or accepted, is one :class:`_Link` protocol.
+Outbound frames collect in the link's outbox and go out in one socket
+write per link per loop tick; inbound bytes are split into frames as
+they arrive.  A message handed to :meth:`AsyncioTcpTransport.send` again
+(broadcast fan-out) is transformed only once.
+
 Time here is wall-clock (``time.monotonic``), still reported in
 milliseconds so protocol timeouts keep their configured meaning.
 """
@@ -32,7 +38,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from collections import deque
 
@@ -94,14 +100,20 @@ class AsyncioTcpTransport(Transport):
         self._loop = asyncio.get_event_loop()
         self._t0 = time.monotonic()
         self._nodes: Dict[str, Node] = {}
-        #: configured peers we dialed: node_id -> writer
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
-        #: peers learned from inbound frames: node_id -> (writer, src_dc)
-        self._learned: Dict[str, Tuple[asyncio.StreamWriter, str]] = {}
+        #: configured peers we dialed: node_id -> link
+        self._dialed: Dict[str, _Link] = {}
+        #: peers learned from inbound frames: node_id -> (link, src_dc)
+        self._learned: Dict[str, Tuple[_Link, str]] = {}
+        #: every open connection, dialed or accepted
+        self._links: Set[_Link] = set()
+        #: links with frames waiting for this tick's flush
+        self._dirty: List[_Link] = []
         self._queues: Dict[str, Deque[bytes]] = {}
         self._dial_tasks: Dict[str, asyncio.Task] = {}
-        self._reader_tasks: set = set()
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        #: the last message sent off-process and its transformed form
+        self._last_message: object = None
+        self._last_encoded: Any = None
         self._faults: Dict[Tuple[str, str], LinkFault] = {}
         self._nemesis_rng = random.Random(
             topology.seed if nemesis_seed is None else nemesis_seed
@@ -119,7 +131,9 @@ class AsyncioTcpTransport(Transport):
     def now(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
 
-    def schedule(self, delay_ms: float, callback: Callable, *args: Any):
+    def schedule(
+        self, delay_ms: float, callback: Callable, *args: Any
+    ) -> asyncio.TimerHandle:
         if delay_ms < 0:
             raise TransportError(f"negative delay: {delay_ms}")
         return self._loop.call_later(delay_ms / 1000.0, callback, *args)
@@ -160,11 +174,16 @@ class AsyncioTcpTransport(Transport):
         if dst_dc is None and dst_id in self._learned:
             dst_dc = self._learned[dst_id][1]
         src_dc = self._nodes[src_id].dc if src_id in self._nodes else self.local_dc
-        envelope = {
+        # Broadcast fan-out hands the same frozen message to every peer:
+        # transform it once.
+        if message is not self._last_message:
+            self._last_encoded = wire.encode(message)
+            self._last_message = message
+        envelope: Dict[str, Any] = {
             "src": src_id,
             "src_dc": src_dc,
             "dst": dst_id,
-            "msg": wire.encode(message),
+            "msg": self._last_encoded,
         }
         if ctx is not None:
             envelope["trace"] = [ctx[0], ctx[1]]
@@ -202,29 +221,27 @@ class AsyncioTcpTransport(Transport):
         """Open the listening socket (server processes only)."""
         if self._listen is not None:
             host, port = self._listen
-            self._server = await asyncio.start_server(self._on_connection, host, port)
+            self._server = await self._loop.create_server(
+                lambda: _Link(self), host, port
+            )
 
     async def close(self) -> None:
-        """Graceful shutdown: stop dialing, close every stream."""
+        """Graceful shutdown: send what is queued, stop dialing, close
+        every connection."""
         self._closed = True
         for task in self._dial_tasks.values():
             task.cancel()
-        for task in list(self._reader_tasks):
-            task.cancel()
         if self._server is not None:
             self._server.close()
+        links = list(self._links)
+        for link in links:
+            # Writes the link's outbox first, so acks queued this tick
+            # (the shutdown ack too) still go out.
+            link.close()
+        for link in links:
+            await link.lost.wait()
+        if self._server is not None:
             await self._server.wait_closed()
-        writers = list(self._writers.values()) + [w for w, _dc in self._learned.values()]
-        for writer in writers:
-            if not writer.is_closing():
-                writer.close()
-        for writer in writers:
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._writers.clear()
-        self._learned.clear()
         self._queues.clear()
 
     # ------------------------------------------------------------------
@@ -259,7 +276,9 @@ class AsyncioTcpTransport(Transport):
     # ------------------------------------------------------------------
     # Control channel
     # ------------------------------------------------------------------
-    async def ctrl(self, dst_id: str, op: Dict[str, Any], timeout_s: float = 10.0):
+    async def ctrl(
+        self, dst_id: str, op: Dict[str, Any], timeout_s: float = 10.0
+    ) -> Dict[str, Any]:
         """Send a control op to ``dst_id``'s transport; await its ack."""
         req_id = next(self._ctrl_seq)
         waiter: asyncio.Future = self._loop.create_future()
@@ -276,7 +295,7 @@ class AsyncioTcpTransport(Transport):
         finally:
             self._ctrl_waiters.pop(req_id, None)
 
-    def _handle_ctrl(self, envelope: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
+    def _handle_ctrl(self, envelope: Dict[str, Any], link: _Link) -> None:
         op = envelope["msg"]
         kind = op.get("op")
         result: Dict[str, Any] = {"req_id": op.get("req_id"), "ok": True}
@@ -304,7 +323,7 @@ class AsyncioTcpTransport(Transport):
             "dst": _CTRL_REPLY,
             "msg": result,
         }
-        self._write_frame(writer, self._frame(reply))
+        self._enqueue(link, self._frame(reply))
 
     # ------------------------------------------------------------------
     # Framing
@@ -313,20 +332,29 @@ class AsyncioTcpTransport(Transport):
         payload = wire.encode_frame_payload(envelope, self._codec)
         return _LEN.pack(len(payload)) + payload
 
-    @staticmethod
-    def _write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
-        if not writer.is_closing():
-            writer.write(frame)
+    def _enqueue(self, link: _Link, frame: bytes) -> None:
+        """Queue ``frame`` on ``link``; the tick's first frame schedules
+        the flush that writes every link's outbox at once."""
+        if link.closing:
+            return
+        if not link.outbox:
+            if not self._dirty:
+                self._loop.call_soon(self._flush)
+            self._dirty.append(link)
+        link.outbox.append(frame)
+
+    def _flush(self) -> None:
+        dirty, self._dirty = self._dirty, []
+        for link in dirty:
+            link.flush()
 
     def _transmit(self, dst_id: str, frame: bytes) -> None:
         learned = self._learned.get(dst_id)
-        if learned is not None and not learned[0].is_closing():
-            self._write_frame(learned[0], frame)
-            self.stats["sent"] += 1
-            return
-        writer = self._writers.get(dst_id)
-        if writer is not None and not writer.is_closing():
-            self._write_frame(writer, frame)
+        link = learned[0] if learned is not None and not learned[0].closing else None
+        if link is None:
+            link = self._dialed.get(dst_id)
+        if link is not None and not link.closing:
+            self._enqueue(link, frame)
             self.stats["sent"] += 1
             return
         if dst_id in self.topology.nodes:
@@ -343,7 +371,9 @@ class AsyncioTcpTransport(Transport):
         attempt = 0
         while not self._closed:
             try:
-                reader, writer = await asyncio.open_connection(address.host, address.port)
+                _sock, link = await self._loop.create_connection(
+                    lambda: _Link(self), address.host, address.port
+                )
             except (ConnectionError, OSError):
                 if time.monotonic() > deadline:
                     dropped = len(self._queues.pop(dst_id, ()))
@@ -357,47 +387,17 @@ class AsyncioTcpTransport(Transport):
                 attempt += 1
                 await asyncio.sleep(backoff)
                 continue
-            self._writers[dst_id] = writer
-            queue = self._queues.pop(dst_id, None)
-            if queue:
-                for frame in queue:
-                    self._write_frame(writer, frame)
-                    self.stats["sent"] += 1
             # Replies from the peer come back on this same connection.
-            task = self._loop.create_task(self._read_frames(reader, writer))
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
+            self._dialed[dst_id] = link
+            for frame in self._queues.pop(dst_id, ()):
+                self._enqueue(link, frame)
+                self.stats["sent"] += 1
             return
 
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._read_frames(reader, writer)
-
-    async def _read_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > _MAX_FRAME:
-                    raise TransportError(f"frame of {length} bytes exceeds limit")
-                payload = await reader.readexactly(length)
-                self._on_frame(payload, writer)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            stale = [
-                peer for peer, (w, _dc) in self._learned.items() if w is writer
-            ]
-            for peer in stale:
-                del self._learned[peer]
-
-    def _on_frame(self, payload: bytes, writer: asyncio.StreamWriter) -> None:
+    def _on_frame(self, payload: bytes, link: _Link) -> None:
         try:
             envelope = wire.decode_frame_payload(payload)
         except wire.CodecError as exc:
@@ -407,9 +407,9 @@ class AsyncioTcpTransport(Transport):
         src = envelope.get("src", "")
         dst = envelope.get("dst", "")
         if src and not src.startswith("ctrl-"):
-            self._learned[src] = (writer, envelope.get("src_dc", ""))
+            self._learned[src] = (link, envelope.get("src_dc", ""))
         if dst == CTRL_DST:
-            self._handle_ctrl(envelope, writer)
+            self._handle_ctrl(envelope, link)
             return
         if dst == _CTRL_REPLY:
             waiter = self._ctrl_waiters.get(envelope["msg"].get("req_id"))
@@ -427,8 +427,29 @@ class AsyncioTcpTransport(Transport):
         else:
             self._dispatch(dst, message, src)
 
+    def _on_bad_frame(self, link: _Link, length: int) -> None:
+        """A length prefix over the limit: the stream cannot be resynced,
+        so that one connection goes; every other peer keeps its own."""
+        print(
+            f"[transport] frame of {length} bytes exceeds the "
+            f"{_MAX_FRAME}-byte limit; closing that connection",
+            file=sys.stderr,
+        )
+        self.stats["dropped"] += 1
+        link.close()
+
+    def _link_made(self, link: _Link) -> None:
+        self._links.add(link)
+
+    def _link_lost(self, link: _Link) -> None:
+        self._links.discard(link)
+        for peer in [p for p, (other, _dc) in self._learned.items() if other is link]:
+            del self._learned[peer]
+        for peer in [p for p, other in self._dialed.items() if other is link]:
+            del self._dialed[peer]
+
     def _dispatch_traced(
-        self, dst_id: str, message: object, src_id: str, ctx: tuple
+        self, dst_id: str, message: object, src_id: str, ctx: Tuple[str, str]
     ) -> None:
         """Deliver with the sender's trace context as the ambient context,
         so spans opened by the handler stitch across the wire."""
@@ -451,3 +472,75 @@ class AsyncioTcpTransport(Transport):
                 f"{type(message).__name__}: {exc!r}",
                 file=sys.stderr,
             )
+
+
+class _Link(asyncio.Protocol):
+    """One TCP connection, dialed or accepted.
+
+    Inbound, it splits the byte stream into frames and hands each
+    payload to its owner; outbound, it holds the owner's frames for this
+    loop tick and writes them with one call.
+    """
+
+    def __init__(self, owner: AsyncioTcpTransport) -> None:
+        self._owner = owner
+        self._sock: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: bytes the buffer must hold before the next frame is complete
+        self._need = _LEN.size
+        self.outbox: List[bytes] = []
+        self.closing = False
+        self.lost = asyncio.Event()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._sock = cast(asyncio.Transport, transport)
+        self._owner._link_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < self._need:
+                return
+            data = bytes(buffer)
+            buffer.clear()
+        size = len(data)
+        offset = 0
+        on_frame = self._owner._on_frame
+        while size - offset >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, offset)
+            if length > _MAX_FRAME:
+                self._owner._on_bad_frame(self, length)
+                return
+            start = offset + _LEN.size
+            if size - start < length:
+                self._need = _LEN.size + length
+                break
+            offset = start + length
+            on_frame(data[start:offset], self)
+            if self.closing:
+                return
+        else:
+            self._need = _LEN.size
+        if offset < size:
+            buffer += data[offset:]
+
+    def flush(self) -> None:
+        frames, self.outbox = self.outbox, []
+        if self._sock is not None and not self.closing and frames:
+            self._sock.write(frames[0] if len(frames) == 1 else b"".join(frames))
+
+    def close(self) -> None:
+        """Write what is queued, then close; ``lost`` resolves once the
+        connection is gone."""
+        if not self.closing:
+            self.flush()
+            self.closing = True
+            if self._sock is not None:
+                self._sock.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.closing = True
+        self.outbox = []
+        self._owner._link_lost(self)
+        self.lost.set()

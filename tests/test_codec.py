@@ -10,8 +10,10 @@ the WIRE-codec rule of ``repro.analysis`` is the single source of truth
 and registered), and the tripwire tests below assert through it.
 """
 
+import asyncio
 import dataclasses
 import inspect
+import json
 import pathlib
 
 import pytest
@@ -466,3 +468,104 @@ def test_msgpack_round_trip_if_available():
 def test_unknown_codec_rejected():
     with pytest.raises(CodecError, match="unknown codec"):
         resolve_codec("protobuf")
+
+
+# ----------------------------------------------------------------------
+# Wire compatibility with the reflective transform the table replaced
+# ----------------------------------------------------------------------
+def _reference_encode(obj):
+    """The transform as it was first written (``dataclasses.fields`` on
+    every object), frozen here so the table-driven codec can be held to
+    the same bytes: old and new processes must keep talking."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, OptionStatus):
+        return {"__e": obj.value}
+    if isinstance(obj, CStruct):
+        return {"__c": [_reference_encode(command) for command in obj.commands]}
+    if isinstance(obj, tuple):
+        return {"__t": [_reference_encode(item) for item in obj]}
+    if isinstance(obj, list):
+        return [_reference_encode(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _reference_encode(value) for key, value in obj.items()}
+    fields = {
+        field.name: _reference_encode(getattr(obj, field.name))
+        for field in dataclasses.fields(obj)
+        if field.init
+    }
+    return {"__k": type(obj).__name__, "f": fields}
+
+
+def _reference_frame_payload(envelope):
+    return b"J" + json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_wire_bytes_match_the_reference_transform(name):
+    sample = SAMPLES[name]
+    for trace in (None, ["0123456789abcdef", "7"]):
+        envelope = {"src": "app-us-west-1", "src_dc": "us-west", "dst": "store-eu-west-p0"}
+        if trace is not None:
+            envelope["trace"] = trace
+        ours = encode_frame_payload({**envelope, "msg": encode(sample)}, JsonCodec())
+        theirs = _reference_frame_payload({**envelope, "msg": _reference_encode(sample)})
+        assert ours == theirs
+        assert _equal(decode(decode_frame_payload(theirs)["msg"]), sample)
+
+
+def test_subclass_of_registered_message_is_a_loud_error():
+    # Same name as the registered class, so only the exact-type check
+    # can tell them apart.
+    impostor = type("ReadRequest", (messages.ReadRequest,), {})
+    with pytest.raises(CodecError, match="no codec entry"):
+        encode(impostor(table="items", key="k", request_id=1))
+    with pytest.raises(CodecError, match="no codec entry"):
+        encode(messages.Visibility(option=impostor("items", "k", 1), committed=True))
+
+
+def test_unknown_wire_type_is_a_loud_error():
+    with pytest.raises(CodecError, match="unknown wire type 'Bogus'"):
+        decode({"__k": "Bogus", "f": {}})
+    with pytest.raises(CodecError, match="malformed ReadRequest"):
+        decode({"__k": "ReadRequest", "f": {"nope": 1}})
+
+
+def test_garbled_payload_is_a_codec_error():
+    with pytest.raises(CodecError, match="undecodable json payload"):
+        decode_frame_payload(b"J{not json")
+
+
+def test_broadcast_transforms_the_message_once(monkeypatch):
+    from repro.transport.tcp import AsyncioTcpTransport
+    from repro.transport.topology import make_local_topology
+
+    transformed = []
+    real_encode = codec.encode
+
+    def counting_encode(obj):
+        transformed.append(obj)
+        return real_encode(obj)
+
+    monkeypatch.setattr(codec, "encode", counting_encode)
+    message = SAMPLES["ProposeFast"]
+
+    async def scenario():
+        topology = make_local_topology(items=1)
+        transport = AsyncioTcpTransport(topology, local_dc="us-west")
+        peers = sorted(topology.nodes)
+        # No peer is connected yet, so each frame waits in its dial queue;
+        # closing before the loop runs again cancels every dial unstarted.
+        sent = transport.broadcast("app-us-west-1", peers, message)
+        queued = {peer: list(transport._queues[peer]) for peer in peers}
+        await transport.close()
+        return sent, queued
+
+    sent, queued = asyncio.run(scenario())
+    assert sent == 3
+    assert transformed == [message]
+    for peer, frames in queued.items():
+        (frame,) = frames
+        envelope = decode_frame_payload(frame[4:])
+        assert envelope["dst"] == peer
+        assert _equal(decode(envelope["msg"]), message)
